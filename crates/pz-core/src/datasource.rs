@@ -14,6 +14,7 @@
 //! * [`DataRegistry`] — named registration, what the chat tool
 //!   `register_dataset` talks to.
 
+use crate::context::PzContext;
 use crate::error::{PzError, PzResult};
 use crate::record::{DataRecord, Value};
 use crate::schema::Schema;
@@ -48,7 +49,10 @@ pub trait DataSource: Send + Sync {
     fn batches(&self, base_id: u64, chunk_size: usize) -> PzResult<RecordBatchIter> {
         Ok(chunk_records(self.records(base_id)?, chunk_size))
     }
-    /// Number of records, if cheaply known (used by the cost model).
+    /// Number of records, if cheaply known. The cost model reads it
+    /// instead of materializing the source, and scans reserve this many
+    /// record ids ([`reserve_ids`]); a source without one is materialized
+    /// once more just to be counted ([`count_records`]).
     fn cardinality_hint(&self) -> Option<usize> {
         None
     }
@@ -57,6 +61,35 @@ pub trait DataSource: Send + Sync {
     fn as_versioned(&self) -> Option<&VersionedSource> {
         None
     }
+}
+
+/// Number of records in `src`: its `cardinality_hint`, or for a source
+/// without one, the length of a full materialization.
+pub fn count_records(src: &dyn DataSource) -> PzResult<usize> {
+    match src.cardinality_hint() {
+        Some(n) => Ok(n),
+        None => Ok(src.records(0)?.len()),
+    }
+}
+
+/// Reserve a block of record ids for one full pass over `src` and return
+/// its first id: every record `records(base)` or `batches(base, _)` yields
+/// gets an id no later `PzContext::next_id` call hands out again.
+pub fn reserve_ids(ctx: &PzContext, src: &dyn DataSource) -> PzResult<u64> {
+    Ok(ctx.next_ids(count_records(src)?.max(1) as u64))
+}
+
+/// The first `n` records of `records(base_id)`, generating only those: the
+/// first batch of `batches(base_id, n)`, which the `batches` contract
+/// makes the same records.
+pub fn prefix(src: &dyn DataSource, base_id: u64, n: usize) -> PzResult<Vec<DataRecord>> {
+    let mut first = src
+        .batches(base_id, n.max(1))?
+        .next()
+        .transpose()?
+        .unwrap_or_default();
+    first.truncate(n);
+    Ok(first)
 }
 
 /// Split an already-materialized record vector into a batch stream.
@@ -386,6 +419,18 @@ impl DirectorySource {
             dir: dir.as_ref().to_path_buf(),
         }
     }
+
+    /// The regular files in the folder, sorted by name.
+    fn files(&self) -> PzResult<Vec<PathBuf>> {
+        let mut paths: Vec<PathBuf> = std::fs::read_dir(&self.dir)
+            .map_err(|e| PzError::Execution(format!("read_dir {}: {e}", self.dir.display())))?
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.is_file())
+            .collect();
+        paths.sort();
+        Ok(paths)
+    }
 }
 
 impl DataSource for DirectorySource {
@@ -398,13 +443,7 @@ impl DataSource for DirectorySource {
     }
 
     fn records(&self, base_id: u64) -> PzResult<Vec<DataRecord>> {
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(&self.dir)
-            .map_err(|e| PzError::Execution(format!("read_dir {}: {e}", self.dir.display())))?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_file())
-            .collect();
-        paths.sort();
+        let paths = self.files()?;
         let mut out = Vec::with_capacity(paths.len());
         for (i, p) in paths.iter().enumerate() {
             let filename = p
@@ -420,6 +459,12 @@ impl DataSource for DirectorySource {
             );
         }
         Ok(out)
+    }
+
+    /// Counts the files without reading them. `None` when the folder
+    /// cannot be listed, so the error surfaces from `records` instead.
+    fn cardinality_hint(&self) -> Option<usize> {
+        self.files().ok().map(|paths| paths.len())
     }
 }
 
@@ -598,6 +643,12 @@ mod tests {
         std::fs::write(dir.join("b.txt"), "bee").unwrap();
         std::fs::write(dir.join("a.txt"), "ay").unwrap();
         let src = DirectorySource::new("d", Schema::text_file(), &dir);
+        std::fs::create_dir_all(dir.join("nested")).unwrap();
+        assert_eq!(
+            src.cardinality_hint(),
+            Some(2),
+            "subdirectories are not records"
+        );
         let recs = src.records(0).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].get("filename").unwrap().as_text(), Some("a.txt"));
@@ -609,6 +660,7 @@ mod tests {
     fn directory_source_missing_dir_errors() {
         let src = DirectorySource::new("d", Schema::text_file(), "/nonexistent/pz/path");
         assert!(matches!(src.records(0), Err(PzError::Execution(_))));
+        assert_eq!(src.cardinality_hint(), None);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! parallel calls overlap.
 
 use crate::context::PzContext;
+use crate::datasource::reserve_ids;
 use crate::error::{PzError, PzResult};
 use crate::exec::failover::{self, FailoverRank};
 use crate::exec::stats::{DegradedExecution, ExecutionStats, OperatorStats};
@@ -677,9 +678,7 @@ fn run_chunked_prefix(
     };
     let batches = (|| {
         let src = ctx.registry.get(dataset)?;
-        let n = src.cardinality_hint().unwrap_or(0) as u64;
-        let base = ctx.next_ids(n.max(1));
-        src.batches(base, config.scan_chunk_size)
+        src.batches(reserve_ids(ctx, src.as_ref())?, config.scan_chunk_size)
     })()
     .map_err(|e| wrap(&prefix[0], e))?;
 

@@ -103,12 +103,15 @@ pub struct ExecutionStats {
     /// pre-incremental runs.
     #[serde(default, skip_serializing_if = "zero_hits")]
     pub memo_hits: usize,
-    /// High-water mark of leaf records resident in the materializing
-    /// executor at once (carried output plus the in-flight scan chunk).
-    /// The out-of-core scan keeps this at O(chunk + output) however large
-    /// the corpus; the scaling gate asserts exactly that. `0` (streaming
-    /// mode, which bounds memory by channel capacity instead and does not
-    /// track this) omits the field so serialized stats stay comparable.
+    /// High-water mark of records resident at once. Materializing mode
+    /// counts carried output plus the in-flight scan chunk; the out-of-core
+    /// scan keeps this at O(chunk + output) however large the corpus, and
+    /// the scaling gate asserts exactly that. Streaming mode reports an
+    /// upper bound computed from the batches that flowed (channels full of
+    /// their largest batch, each stage worker holding its largest input
+    /// and output, plus the collected output), which unlike the measured
+    /// high-water mark does not depend on thread scheduling. `0` omits the
+    /// field.
     #[serde(default, skip_serializing_if = "zero_hits")]
     pub peak_resident_records: usize,
 }

@@ -59,6 +59,7 @@
 //! reconcile exactly with `ExecutionStats` and the ledger.
 
 use crate::context::PzContext;
+use crate::datasource::reserve_ids;
 use crate::error::{PzError, PzResult};
 use crate::exec::channel::{bounded, Receiver, Sender};
 use crate::exec::failover;
@@ -220,6 +221,34 @@ struct StageReport {
     /// Profiling only: virtual µs from stage launch to the stage thread
     /// finishing — the window its attribution buckets must fill.
     window_us: u64,
+    /// Most records one worker of this stage held at once: a batch's
+    /// input and output together (a blocking stage's whole input).
+    held: usize,
+    /// Largest batch this stage sent downstream.
+    largest_sent: usize,
+}
+
+impl StageReport {
+    fn hold(&mut self, records: usize) {
+        self.held = self.held.max(records);
+    }
+}
+
+/// Streaming mode's `peak_resident_records`: the most records the
+/// pipeline could hold at once given the batches that actually flowed —
+/// every channel full of its sender's largest batch, every stage worker
+/// holding its largest input and output at once, plus the collected
+/// output. The true high-water mark depends on thread scheduling; this
+/// bound does not, so the gauge repeats exactly from run to run.
+fn resident_bound(reports: &[StageReport], channel_capacity: usize) -> usize {
+    reports
+        .iter()
+        .map(|r| {
+            r.effective_workers.max(1) * r.held
+                + channel_capacity * r.largest_sent
+                + r.collected.len()
+        })
+        .sum()
 }
 
 /// Per-stage failover state: once a stage swaps models it *stays* on the
@@ -449,6 +478,7 @@ struct Emitter {
     output: Option<Sender<Vec<DataRecord>>>,
     collected: Vec<DataRecord>,
     first_emit_busy: Option<f64>,
+    largest_sent: usize,
 }
 
 impl Emitter {
@@ -457,6 +487,9 @@ impl Emitter {
     fn emit(&mut self, meter: &StageMeter, batch: Vec<DataRecord>) -> bool {
         if self.first_emit_busy.is_none() {
             self.first_emit_busy = Some(meter.busy_secs());
+        }
+        if self.output.is_some() {
+            self.largest_sent = self.largest_sent.max(batch.len());
         }
         match &self.output {
             Some(tx) => match meter.prof.as_ref() {
@@ -578,6 +611,8 @@ struct EmitGate {
     emitter: Emitter,
     buffer: ReorderBuffer,
     output_records: usize,
+    /// Most records one worker held at once ([`StageReport::held`]).
+    held: usize,
 }
 
 impl EmitGate {
@@ -832,6 +867,7 @@ pub(crate) fn execute_streaming(
         .max()
         .unwrap_or(1);
     stats.finalize_pipelined(&startup);
+    stats.peak_resident_records = resident_bound(&reports, channel_capacity);
 
     let records = reports.pop().map(|r| r.collected).unwrap_or_default();
     stats.output_records = records.len();
@@ -859,6 +895,7 @@ fn run_stage(
         output,
         collected: Vec::new(),
         first_emit_busy: None,
+        largest_sent: 0,
     };
     let mut fo = StageFailover::new(op.clone(), idx, config, adaptive);
     let prof_t0 = meter.prof.as_ref().map(|p| p.now());
@@ -877,9 +914,7 @@ fn run_stage(
                     unreachable!()
                 };
                 let src = ctx.registry.get(dataset)?;
-                let n = src.cardinality_hint().unwrap_or(0) as u64;
-                let base = ctx.next_ids(n.max(1));
-                src.batches(base, batch_size)
+                src.batches(reserve_ids(ctx, src.as_ref())?, batch_size)
             })();
             match pulled {
                 Ok(batches) => {
@@ -893,6 +928,7 @@ fn run_stage(
                             Ok(b) if b.is_empty() => continue,
                             Ok(b) => {
                                 report.output_records += b.len();
+                                report.hold(b.len());
                                 if !emitter.emit(meter, b) {
                                     break;
                                 }
@@ -910,6 +946,7 @@ fn run_stage(
         // Non-Scan sources (none today) keep the materialize-once path.
         None => match fo.execute(ctx, Vec::new(), &mut report.degraded, meter) {
             Ok(out) => {
+                report.hold(out.len());
                 for chunk in out.chunks(batch_size) {
                     if shared.aborted() || shared.past_deadline(ctx.clock.now_secs()) {
                         break;
@@ -933,9 +970,11 @@ fn run_stage(
                         if shared.aborted() || shared.past_deadline(ctx.clock.now_secs()) {
                             break;
                         }
-                        report.input_records += batch.len();
+                        let consumed = batch.len();
+                        report.input_records += consumed;
                         match fo.execute(ctx, batch, &mut report.degraded, meter) {
                             Ok(out) => {
+                                report.hold(consumed + out.len());
                                 if out.is_empty() {
                                     continue;
                                 }
@@ -964,8 +1003,10 @@ fn run_stage(
                 // A blocking op whose input was cut short by the deadline
                 // still runs — partial input, partial output.
                 if !shared.aborted() && !shared.past_deadline(ctx.clock.now_secs()) {
+                    let consumed = buf.len();
                     match fo.execute(ctx, buf, &mut report.degraded, meter) {
                         Ok(out) => {
+                            report.hold(consumed + out.len());
                             for chunk in out.chunks(batch_size) {
                                 report.output_records += chunk.len();
                                 if !emitter.emit(meter, chunk.to_vec()) {
@@ -987,6 +1028,7 @@ fn run_stage(
                         break;
                     }
                     report.input_records += batch.len();
+                    report.hold(batch.len());
                     batch.truncate(remaining);
                     remaining -= batch.len();
                     report.output_records += batch.len();
@@ -1006,6 +1048,7 @@ fn run_stage(
                     }
                     report.input_records += batch.len();
                     report.output_records += batch.len();
+                    report.hold(batch.len());
                     if !emitter.emit(meter, batch) {
                         cancelled = true;
                         break;
@@ -1015,6 +1058,7 @@ fn run_stage(
                     // UnionAll over empty input yields the other dataset.
                     match op.execute(ctx, Vec::new()) {
                         Ok(other) => {
+                            report.hold(other.len());
                             for chunk in other.chunks(batch_size) {
                                 report.output_records += chunk.len();
                                 if !emitter.emit(meter, chunk.to_vec()) {
@@ -1029,6 +1073,7 @@ fn run_stage(
         },
     }
     report.startup_secs = emitter.first_emit_busy.unwrap_or_else(|| meter.busy_secs());
+    report.largest_sent = emitter.largest_sent;
     report.collected = emitter.collected;
     if let (Some(p), Some(t0)) = (meter.prof.as_ref(), prof_t0) {
         report.window_us = p.now().saturating_sub(t0);
@@ -1086,6 +1131,7 @@ fn run_stage_pool(
         emitter,
         buffer: ReorderBuffer::new(),
         output_records: 0,
+        held: 0,
     });
     let stop = AtomicBool::new(false);
     let input_records = AtomicUsize::new(0);
@@ -1124,6 +1170,7 @@ fn run_stage_pool(
     report.degraded = degraded;
     let gate = gate.into_inner();
     report.output_records = gate.output_records;
+    report.held = gate.held;
     gate.emitter
 }
 
@@ -1173,7 +1220,8 @@ fn pool_worker(
         }
         let mut done = stop.load(Ordering::SeqCst);
         if !done && !shared.aborted() && !shared.past_deadline(ctx.clock.now_secs()) {
-            input_records.fetch_add(batch.len(), Ordering::SeqCst);
+            let consumed = batch.len();
+            input_records.fetch_add(consumed, Ordering::SeqCst);
             let result = {
                 let mut guard = failover.lock();
                 let (fo, degraded) = &mut *guard;
@@ -1181,7 +1229,9 @@ fn pool_worker(
             };
             match result {
                 Ok(out) => {
-                    if !gate.lock().push(seq, out, meter) {
+                    let mut gate = gate.lock();
+                    gate.held = gate.held.max(consumed + out.len());
+                    if !gate.push(seq, out, meter) {
                         // Downstream disconnected: early termination.
                         stop.store(true, Ordering::SeqCst);
                         done = true;
@@ -1251,5 +1301,56 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn resident_peak_is_positive_repeatable_and_below_the_corpus() {
+        use crate::datasource::GeneratedSource;
+        use crate::exec::run::execute_plan;
+        use crate::schema::Schema;
+        let n = 2_000;
+        let ctx = PzContext::simulated();
+        ctx.registry.register(Arc::new(GeneratedSource::new(
+            "gen",
+            Schema::text_file(),
+            n,
+            |i| (format!("doc-{i:05}.txt"), format!("body {i}")),
+        )));
+        ctx.udfs.register_filter("rare", |r: &DataRecord| {
+            r.get("filename")
+                .and_then(|v| v.as_text())
+                .is_some_and(|f| f.ends_with("00.txt"))
+        });
+        let plan = PhysicalPlan {
+            ops: vec![
+                PhysicalOp::Scan {
+                    dataset: "gen".into(),
+                },
+                PhysicalOp::UdfFilter { udf: "rare".into() },
+            ],
+        };
+        let (capacity, batch) = (2, 16);
+        for workers in [1, 2] {
+            let config = ExecutionConfig::streaming_with(capacity, batch).with_parallelism(workers);
+            let peaks: Vec<usize> = (0..3)
+                .map(|_| {
+                    let (out, stats) = execute_plan(&ctx, &plan, config).unwrap();
+                    assert_eq!(out.len(), n / 100);
+                    stats.peak_resident_records
+                })
+                .collect();
+            let peak = peaks[0];
+            assert!(
+                peaks.iter().all(|p| *p == peak),
+                "peak varies run to run: {peaks:?}"
+            );
+            // At least the collected output plus a batch in flight; far
+            // below the corpus, since nothing holds more than a few
+            // batches of it.
+            assert!(
+                peak > n / 100 + batch && peak < n / 10,
+                "peak {peak} at {workers} worker(s)"
+            );
+        }
     }
 }

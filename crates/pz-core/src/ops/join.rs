@@ -15,6 +15,7 @@
 //! left field are prefixed with the build dataset's name.
 
 use crate::context::PzContext;
+use crate::datasource::reserve_ids;
 use crate::error::PzResult;
 use crate::record::DataRecord;
 use pz_llm::protocol::{self, Effort};
@@ -42,9 +43,7 @@ fn merge(ctx: &PzContext, left: &DataRecord, right: &DataRecord, right_name: &st
 /// Materialize the build side of a join.
 fn build_side(ctx: &PzContext, dataset: &str) -> PzResult<Vec<DataRecord>> {
     let src = ctx.registry.get(dataset)?;
-    let n = src.cardinality_hint().unwrap_or(0) as u64;
-    let base = ctx.next_ids(n.max(1));
-    src.records(base)
+    src.records(reserve_ids(ctx, src.as_ref())?)
 }
 
 /// Conventional equi-join: `left.left_field == right.right_field`
@@ -67,7 +66,7 @@ pub fn hash_join(
     let n = src.cardinality_hint().unwrap_or(0);
     let budget = ctx.spill_budget_records.unwrap_or(usize::MAX).max(1);
     if n > budget {
-        let base = ctx.next_ids(n.max(1) as u64);
+        let base = reserve_ids(ctx, src.as_ref())?;
         let mut matched: Vec<Vec<DataRecord>> = vec![Vec::new(); input.len()];
         for batch in src.batches(base, budget)? {
             let batch = batch?;

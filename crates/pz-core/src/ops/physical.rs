@@ -9,6 +9,7 @@
 //! plan; the optimizer enumerates and ranks them.
 
 use crate::context::PzContext;
+use crate::datasource::reserve_ids;
 use crate::error::PzResult;
 use crate::ops::logical::{AggExpr, Cardinality, LogicalOp};
 use crate::record::DataRecord;
@@ -266,9 +267,7 @@ impl PhysicalOp {
         match self {
             PhysicalOp::Scan { dataset } => {
                 let src = ctx.registry.get(dataset)?;
-                let n = src.cardinality_hint().unwrap_or(0) as u64;
-                let base = ctx.next_ids(n.max(1));
-                src.records(base)
+                src.records(reserve_ids(ctx, src.as_ref())?)
             }
             PhysicalOp::LlmFilter {
                 predicate,
@@ -341,10 +340,8 @@ impl PhysicalOp {
             }
             PhysicalOp::UnionAll { dataset } => {
                 let src = ctx.registry.get(dataset)?;
-                let n = src.cardinality_hint().unwrap_or(0) as u64;
-                let base = ctx.next_ids(n.max(1));
                 let mut out = input;
-                out.extend(src.records(base)?);
+                out.extend(src.records(reserve_ids(ctx, src.as_ref())?)?);
                 Ok(out)
             }
         }

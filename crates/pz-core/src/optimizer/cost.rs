@@ -8,8 +8,9 @@
 //! calibration (E9) is for.
 
 use crate::context::PzContext;
+use crate::datasource::{count_records, prefix, DataSource};
 use crate::error::{PzError, PzResult};
-use crate::ops::logical::{Cardinality, LogicalPlan};
+use crate::ops::logical::{Cardinality, LogicalOp, LogicalPlan};
 use crate::ops::physical::{PhysicalOp, PhysicalPlan};
 use pz_llm::protocol::Effort;
 use pz_llm::{count_tokens, Catalog};
@@ -65,48 +66,38 @@ pub struct CostContext {
     pub workers: usize,
 }
 
+/// Records sampled at the source to estimate the average record size.
+const SIZE_SAMPLE: usize = 5;
+
+/// Cardinality and average record size (tokens) of a scan source. The
+/// count comes from [`count_records`] (the source's hint when it has one);
+/// the size averages the first [`SIZE_SAMPLE`] records, generated through
+/// [`prefix`], so costing a plan never holds the whole corpus.
+fn profile_source(src: &dyn DataSource) -> PzResult<(usize, f64)> {
+    let n = count_records(src)?;
+    let sample: Vec<usize> = prefix(src, 0, SIZE_SAMPLE)?
+        .iter()
+        .map(|r| count_tokens(&r.prompt_text()))
+        .collect();
+    let avg = if sample.is_empty() {
+        200.0
+    } else {
+        sample.iter().sum::<usize>() as f64 / sample.len() as f64
+    };
+    Ok((n, avg))
+}
+
 impl CostContext {
-    /// Build from a runtime context: cardinality from the source hint,
-    /// record size by sampling the first few records.
+    /// Build from a runtime context: cardinality from the scan source's
+    /// hint, record size from its first few records, and build-side
+    /// cardinalities for every join and union. The source is never
+    /// materialized unless it has no hint ([`profile_source`]).
     pub fn from_context(ctx: &PzContext, plan: &LogicalPlan) -> PzResult<Self> {
-        let src = ctx.registry.get(plan.dataset())?;
-        let records = src
-            .records(0)
-            .map_err(|e| PzError::Optimizer(format!("cannot sample source for costing: {e}")))?;
-        let n = records.len();
-        let sample: Vec<usize> = records
-            .iter()
-            .take(5)
-            .map(|r| count_tokens(&r.prompt_text()))
-            .collect();
-        let avg = if sample.is_empty() {
-            200.0
-        } else {
-            sample.iter().sum::<usize>() as f64 / sample.len() as f64
-        };
-        // Measure build-side cardinalities for every join in the plan.
-        let mut build_cardinality = BTreeMap::new();
-        for op in &plan.ops {
-            if let crate::ops::logical::LogicalOp::Join { dataset, .. }
-            | crate::ops::logical::LogicalOp::Union { dataset } = op
-            {
-                if let Ok(src) = ctx.registry.get(dataset) {
-                    let n = src
-                        .cardinality_hint()
-                        .or_else(|| src.records(0).ok().map(|r| r.len()))
-                        .unwrap_or(DEFAULT_BUILD_CARDINALITY as usize);
-                    build_cardinality.insert(dataset.clone(), n as f64);
-                }
-            }
-        }
-        Ok(Self {
-            catalog: ctx.catalog.clone(),
-            input_cardinality: n as f64,
-            avg_record_tokens: avg,
-            build_cardinality,
-            calibration: None,
-            workers: 1,
-        })
+        let build_sides = plan.ops.iter().filter_map(|op| match op {
+            LogicalOp::Join { dataset, .. } | LogicalOp::Union { dataset } => Some(dataset),
+            _ => None,
+        });
+        Self::measure(ctx, plan.dataset(), build_sides)
     }
 
     /// Build from a runtime context and a *physical* plan: same sampling as
@@ -123,34 +114,27 @@ impl CostContext {
                 _ => None,
             })
             .ok_or_else(|| PzError::Optimizer("plan has no scan to sample for costing".into()))?;
-        let src = ctx.registry.get(dataset)?;
-        let records = src
-            .records(0)
-            .map_err(|e| PzError::Optimizer(format!("cannot sample source for costing: {e}")))?;
-        let n = records.len();
-        let sample: Vec<usize> = records
-            .iter()
-            .take(5)
-            .map(|r| count_tokens(&r.prompt_text()))
-            .collect();
-        let avg = if sample.is_empty() {
-            200.0
-        } else {
-            sample.iter().sum::<usize>() as f64 / sample.len() as f64
-        };
-        let mut build_cardinality = BTreeMap::new();
-        for op in &plan.ops {
-            if let PhysicalOp::HashJoin { dataset, .. }
+        let build_sides = plan.ops.iter().filter_map(|op| match op {
+            PhysicalOp::HashJoin { dataset, .. }
             | PhysicalOp::LlmJoin { dataset, .. }
-            | PhysicalOp::UnionAll { dataset } = op
-            {
-                if let Ok(src) = ctx.registry.get(dataset) {
-                    let n = src
-                        .cardinality_hint()
-                        .or_else(|| src.records(0).ok().map(|r| r.len()))
-                        .unwrap_or(DEFAULT_BUILD_CARDINALITY as usize);
-                    build_cardinality.insert(dataset.clone(), n as f64);
-                }
+            | PhysicalOp::UnionAll { dataset } => Some(dataset),
+            _ => None,
+        });
+        Self::measure(ctx, dataset, build_sides)
+    }
+
+    fn measure<'a>(
+        ctx: &PzContext,
+        dataset: &str,
+        build_sides: impl Iterator<Item = &'a String>,
+    ) -> PzResult<Self> {
+        let (n, avg) = profile_source(ctx.registry.get(dataset)?.as_ref())
+            .map_err(|e| PzError::Optimizer(format!("cannot sample source for costing: {e}")))?;
+        let mut build_cardinality = BTreeMap::new();
+        for dataset in build_sides {
+            if let Ok(src) = ctx.registry.get(dataset) {
+                let n = count_records(src.as_ref()).unwrap_or(DEFAULT_BUILD_CARDINALITY as usize);
+                build_cardinality.insert(dataset.clone(), n as f64);
             }
         }
         Ok(Self {

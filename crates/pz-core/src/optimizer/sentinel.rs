@@ -13,6 +13,7 @@
 //! investment the optimizer amortizes over the full run (experiment E9).
 
 use crate::context::PzContext;
+use crate::datasource::prefix;
 use crate::error::PzResult;
 use crate::ops::logical::{FilterPredicate, LogicalOp, LogicalPlan};
 use crate::ops::physical::{default_physical, PhysicalOp};
@@ -25,16 +26,12 @@ use pz_llm::ModelId;
 use pz_llm::ModelKind;
 
 /// Run sentinel calibration for `plan` on a sample of `sample_size` source
-/// records.
+/// records: the first ones, generated without materializing the rest.
 pub fn calibrate(ctx: &PzContext, plan: &LogicalPlan, sample_size: usize) -> PzResult<Calibration> {
     let mut calib = Calibration::default();
     let src = ctx.registry.get(plan.dataset())?;
     let base = ctx.next_ids(sample_size.max(1) as u64 * 4);
-    let mut sample: Vec<DataRecord> = src
-        .records(base)?
-        .into_iter()
-        .take(sample_size.max(1))
-        .collect();
+    let mut sample = prefix(src.as_ref(), base, sample_size.max(1))?;
     if sample.is_empty() {
         return Ok(calib);
     }
