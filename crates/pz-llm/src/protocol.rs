@@ -84,6 +84,7 @@ pub enum Task {
     Classify {
         labels: Vec<String>,
         input: String,
+        effort: Effort,
     },
     Generate {
         instruction: String,
@@ -301,6 +302,7 @@ pub fn parse_prompt(prompt: &str) -> Option<Task> {
                 .filter(|s| !s.is_empty())
                 .collect(),
             input,
+            effort,
         }),
         "generate" => Some(Task::Generate {
             instruction: header("INSTRUCTION")?.to_string(),
@@ -395,9 +397,14 @@ mod tests {
         let labels = vec!["science".to_string(), "legal".to_string()];
         let p = classify_prompt(&labels, "text");
         match parse_prompt(&p) {
-            Some(Task::Classify { labels: l2, input }) => {
+            Some(Task::Classify {
+                labels: l2,
+                input,
+                effort,
+            }) => {
                 assert_eq!(l2, labels);
                 assert_eq!(input, "text");
+                assert_eq!(effort, Effort::Standard);
             }
             other => panic!("bad parse: {other:?}"),
         }
@@ -482,6 +489,12 @@ mod tests {
         let p = extract_prompt_with_effort(&fields, Cardinality::OneToOne, "x", Effort::High);
         match parse_prompt(&p).unwrap() {
             Task::Extract { effort, .. } => assert_eq!(effort, Effort::High),
+            _ => unreachable!(),
+        }
+        let labels = vec!["a".to_string(), "b".to_string()];
+        let p = classify_prompt_with_effort(&labels, "x", Effort::High);
+        match parse_prompt(&p).unwrap() {
+            Task::Classify { effort, .. } => assert_eq!(effort, Effort::High),
             _ => unreachable!(),
         }
         // Standard prompts carry no effort header and parse as Standard.

@@ -23,7 +23,8 @@ use crate::protocol::{self, Cardinality, Effort, FieldSpec, Task};
 use crate::tokenizer::{count_output_tokens, count_tokens};
 use crate::usage::{Usage, UsageLedger};
 use crate::{hash_unit, stable_hash};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the simulator.
@@ -64,6 +65,32 @@ pub struct SimulatedLlm {
     embedder: Embedder,
     faults: FaultInjector,
     call_counter: AtomicU64,
+}
+
+/// A seed in decimal, rendered on the stack: the first part of every
+/// error-injection hash key.
+struct SeedKey {
+    digits: [u8; 20],
+    start: usize,
+}
+
+impl SeedKey {
+    fn new(mut seed: u64) -> Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (seed % 10) as u8;
+            seed /= 10;
+            if seed == 0 {
+                return Self { digits, start };
+            }
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.digits[self.start..]).expect("decimal digits are ASCII")
+    }
 }
 
 impl SimulatedLlm {
@@ -133,10 +160,6 @@ impl SimulatedLlm {
         }
     }
 
-    fn seed_str(&self) -> String {
-        self.config.seed.to_string()
-    }
-
     /// Decide whether this call transiently fails (deterministic in the call
     /// counter, so a retry of the "same" request is a *different* call and
     /// can succeed).
@@ -145,7 +168,8 @@ impl SimulatedLlm {
             return Ok(());
         }
         let n = self.call_counter.fetch_add(1, Ordering::Relaxed);
-        let u = hash_unit(&[&self.seed_str(), "transient", &n.to_string()]);
+        let seed = SeedKey::new(self.config.seed);
+        let u = hash_unit(&[seed.as_str(), "transient", &n.to_string()]);
         if u < self.config.transient_failure_rate {
             Err(LlmError::Transient {
                 attempt: n as usize,
@@ -272,61 +296,176 @@ const STOPWORDS: &[&str] = &[
     "studies",
 ];
 
+/// A word of at most 15 bytes packed into one integer: its bytes, then
+/// its length in the low byte, so distinct words get distinct keys. Longer
+/// words have no key.
+const fn word_key(w: &[u8]) -> Option<u128> {
+    if w.len() > 15 {
+        return None;
+    }
+    let mut key = 0u128;
+    let mut i = 0;
+    while i < w.len() {
+        key = key << 8 | w[i] as u128;
+        i += 1;
+    }
+    Some(key << 8 | w.len() as u128)
+}
+
+/// [`STOPWORDS`] as sorted [`word_key`]s (an insertion sort run at compile
+/// time), so a lookup is a binary search over integers.
+const STOPWORD_KEYS: [u128; STOPWORDS.len()] = {
+    let mut keys = [0u128; STOPWORDS.len()];
+    let mut i = 0;
+    while i < STOPWORDS.len() {
+        let key = match word_key(STOPWORDS[i].as_bytes()) {
+            Some(key) => key,
+            None => panic!("stopwords are at most 15 bytes"),
+        };
+        let mut j = i;
+        while j > 0 && keys[j - 1] > key {
+            keys[j] = keys[j - 1];
+            j -= 1;
+        }
+        keys[j] = key;
+        i += 1;
+    }
+    keys
+};
+
 fn is_stopword(w: &str) -> bool {
-    STOPWORDS.contains(&w)
+    word_key(w.as_bytes()).is_some_and(|key| STOPWORD_KEYS.binary_search(&key).is_ok())
+}
+
+/// Stream the content words of `text` through `f`, in order: maximal
+/// alphanumeric runs longer than one byte, ASCII-lowercased, stopwords
+/// removed. Every word goes through one reused buffer, so the scan makes
+/// no per-word allocation; `f` may rewrite the buffer (e.g. [`stem`] it)
+/// and stops the scan by returning `Break`.
+fn for_each_content_word(text: &str, mut f: impl FnMut(&mut String) -> ControlFlow<()>) {
+    let mut buf = String::new();
+    for t in text.split(|c: char| !c.is_alphanumeric()) {
+        if t.len() <= 1 {
+            continue;
+        }
+        buf.clear();
+        buf.push_str(t);
+        buf.make_ascii_lowercase();
+        if is_stopword(&buf) {
+            continue;
+        }
+        if f(&mut buf).is_break() {
+            return;
+        }
+    }
 }
 
 /// Lowercased alphanumeric content words (stopwords removed).
 pub(crate) fn content_words(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|t| t.len() > 1)
-        .map(|t| t.to_ascii_lowercase())
-        .filter(|t| !is_stopword(t))
-        .collect()
+    let mut out = Vec::new();
+    for_each_content_word(text, |w| {
+        out.push(w.clone());
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// Stemmed content words of `text`, in order.
+fn content_stems(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for_each_content_word(text, |w| {
+        stem(w);
+        out.push(w.clone());
+        ControlFlow::Continue(())
+    });
+    out
 }
 
 /// Crude stemmer: normalizes common English inflections so "mutations"
 /// matches "mutation", "homes" matches "home", "studies" matches "study".
-fn stem(w: &str) -> String {
-    if w.len() > 4 {
-        if let Some(st) = w.strip_suffix("ies") {
-            return format!("{st}y");
+/// Rewrites `w` in place; every rule shortens the word, so it never
+/// allocates.
+fn stem(w: &mut String) {
+    let n = w.len();
+    if n > 4 {
+        if w.ends_with("ies") {
+            w.truncate(n - 3);
+            w.push('y');
+            return;
         }
-        if let Some(st) = w.strip_suffix("sses") {
-            return format!("{st}ss");
+        // classes -> class, boxes -> box, churches -> church
+        if ["sses", "xes", "zes", "ches", "shes"]
+            .iter()
+            .any(|suffix| w.ends_with(suffix))
+        {
+            w.truncate(n - 2);
+            return;
         }
-        // boxes -> box, churches -> church
-        for pre in ["xes", "zes", "ches", "shes"] {
-            if w.ends_with(pre) {
-                return w[..w.len() - 2].to_string();
-            }
+        if w.ends_with("ing") {
+            w.truncate(n - 3);
+            return;
         }
-        if let Some(st) = w.strip_suffix("ing") {
-            return st.to_string();
-        }
-        if let Some(st) = w.strip_suffix("ed") {
-            return st.to_string();
+        if w.ends_with("ed") {
+            w.truncate(n - 2);
+            return;
         }
     }
-    if w.len() > 3 && w.ends_with('s') && !w.ends_with("ss") {
-        return w[..w.len() - 1].to_string();
+    if n > 3 && w.ends_with('s') && !w.ends_with("ss") {
+        w.truncate(n - 1);
     }
-    w.to_string()
 }
 
-fn relevance(predicate_words: &[String], haystack: &str) -> f64 {
-    if predicate_words.is_empty() {
-        return 1.0;
-    }
-    let hay: Vec<String> = content_words(haystack).iter().map(|w| stem(w)).collect();
-    let mut hits = 0usize;
-    for w in predicate_words {
-        let sw = stem(w);
-        if hay.contains(&sw) {
-            hits += 1;
+/// For each word list, the fraction of its words whose stem occurs among
+/// the stemmed content words of `haystack` (an empty list scores 1.0).
+/// The list stems are taken once; `haystack` is scanned once for all lists
+/// and the scan stops as soon as every stem has been found, which cannot
+/// change any count.
+fn relevance_all(word_lists: &[Vec<String>], haystack: &str) -> Vec<f64> {
+    // (list index, stem, found) per word, duplicates kept: a predicate
+    // that repeats a word counts it twice.
+    let mut wanted: Vec<(usize, String, bool)> = Vec::new();
+    for (i, words) in word_lists.iter().enumerate() {
+        for w in words {
+            let mut s = w.clone();
+            stem(&mut s);
+            wanted.push((i, s, false));
         }
     }
-    hits as f64 / predicate_words.len() as f64
+    let mut missing = wanted.len();
+    if missing > 0 {
+        for_each_content_word(haystack, |w| {
+            stem(w);
+            for (_, s, found) in wanted.iter_mut() {
+                if !*found && s == w {
+                    *found = true;
+                    missing -= 1;
+                }
+            }
+            if missing == 0 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+    }
+    word_lists
+        .iter()
+        .enumerate()
+        .map(|(i, words)| {
+            if words.is_empty() {
+                return 1.0;
+            }
+            let hits = wanted
+                .iter()
+                .filter(|(j, _, found)| *j == i && *found)
+                .count();
+            hits as f64 / words.len() as f64
+        })
+        .collect()
+}
+
+fn relevance(predicate_words: Vec<String>, haystack: &str) -> f64 {
+    relevance_all(&[predicate_words], haystack)[0]
 }
 
 // ---------------------------------------------------------------------------
@@ -348,15 +487,15 @@ impl SimulatedLlm {
         // scores 0.5 and is rejected; with a three-word conjunctive
         // predicate ("modern homes garden") all three words must appear,
         // giving conjunctions their intended semantics.
-        let words = content_words(predicate);
-        let base = relevance(&words, input) >= 0.7;
+        let base = relevance(content_words(predicate), input) >= 0.7;
         // Deterministic quality-dependent flip with correlated errors:
         // a shared "record difficulty" draw trips every model whose shared
         // error budget covers it (weaker models err on a superset of hard
         // records), plus an independent per-model draw.
         let e = 1.0 - model_q;
-        let u_shared = hash_unit(&[&self.seed_str(), "filter-difficulty", predicate, input]);
-        let u_model = hash_unit(&[&self.seed_str(), model, "filter", predicate, input]);
+        let seed = SeedKey::new(self.config.seed);
+        let u_shared = hash_unit(&[seed.as_str(), "filter-difficulty", predicate, input]);
+        let u_model = hash_unit(&[seed.as_str(), model, "filter", predicate, input]);
         let flipped = u_shared < ERROR_CORRELATION * e || u_model < (1.0 - ERROR_CORRELATION) * e;
         let answer = if flipped { !base } else { base };
         if answer {
@@ -370,18 +509,19 @@ impl SimulatedLlm {
         if labels.is_empty() {
             return String::new();
         }
+        let label_words: Vec<Vec<String>> = labels.iter().map(|l| content_words(l)).collect();
         let mut best = 0usize;
         let mut best_score = -1.0f64;
-        for (i, l) in labels.iter().enumerate() {
-            let score = relevance(&content_words(l), input);
+        for (i, score) in relevance_all(&label_words, input).into_iter().enumerate() {
             if score > best_score {
                 best_score = score;
                 best = i;
             }
         }
         let e = 1.0 - model_q;
-        let u_shared = hash_unit(&[&self.seed_str(), "classify-difficulty", input]);
-        let u_model = hash_unit(&[&self.seed_str(), model, "classify", input]);
+        let seed = SeedKey::new(self.config.seed);
+        let u_shared = hash_unit(&[seed.as_str(), "classify-difficulty", input]);
+        let u_model = hash_unit(&[seed.as_str(), model, "classify", input]);
         let wrong = u_shared < ERROR_CORRELATION * e || u_model < (1.0 - ERROR_CORRELATION) * e;
         let pick = if !wrong || labels.len() == 1 {
             best
@@ -433,9 +573,10 @@ impl SimulatedLlm {
         // it entirely (recall loss); per field, possibly null it out or
         // corrupt the value (precision loss).
         let mut degraded: Vec<BTreeMap<String, Option<String>>> = Vec::new();
+        let seed = SeedKey::new(self.config.seed);
         for (i, mut obj) in objects.into_iter().enumerate() {
             let key = format!("{i}:{}", obj_signature(&obj));
-            let u_drop = hash_unit(&[&self.seed_str(), model, "extract-drop", &key]);
+            let u_drop = hash_unit(&[seed.as_str(), model, "extract-drop", &key]);
             // Whole-object misses are rarer than field-level mistakes.
             let drop_p = (1.0 - model_q) * 0.5;
             if cardinality == Cardinality::OneToMany && u_drop < drop_p {
@@ -443,7 +584,7 @@ impl SimulatedLlm {
             }
             for f in fields {
                 if let Some(Some(v)) = obj.get(&f.name).cloned() {
-                    let u = hash_unit(&[&self.seed_str(), model, "extract-field", &f.name, &v]);
+                    let u = hash_unit(&[seed.as_str(), model, "extract-field", &f.name, &v]);
                     if u > model_q {
                         let corrupted = if u > model_q + (1.0 - model_q) * 0.5 {
                             None
@@ -471,16 +612,15 @@ impl SimulatedLlm {
         left: &str,
         right: &str,
     ) -> String {
-        let lw: std::collections::BTreeSet<String> =
-            content_words(left).iter().map(|w| stem(w)).collect();
-        let rw: std::collections::BTreeSet<String> =
-            content_words(right).iter().map(|w| stem(w)).collect();
+        let lw = stem_set(left);
+        let rw = stem_set(right);
         let inter = lw.intersection(&rw).count();
         let smaller = lw.len().min(rw.len()).max(1);
         let base = inter as f64 / smaller as f64 >= 0.4 && inter > 0;
         let e = 1.0 - model_q;
-        let u_shared = hash_unit(&[&self.seed_str(), "match-difficulty", criterion, left, right]);
-        let u_model = hash_unit(&[&self.seed_str(), model, "match", criterion, left, right]);
+        let seed = SeedKey::new(self.config.seed);
+        let u_shared = hash_unit(&[seed.as_str(), "match-difficulty", criterion, left, right]);
+        let u_model = hash_unit(&[seed.as_str(), model, "match", criterion, left, right]);
         let flipped = u_shared < ERROR_CORRELATION * e || u_model < (1.0 - ERROR_CORRELATION) * e;
         let answer = if flipped { !base } else { base };
         if answer {
@@ -498,6 +638,20 @@ impl SimulatedLlm {
             format!("[{instruction}] {}", words.join(" "))
         }
     }
+}
+
+/// The distinct stemmed content words of `text`; allocates once per
+/// distinct word, not once per occurrence.
+fn stem_set(text: &str) -> BTreeSet<String> {
+    let mut set = BTreeSet::new();
+    for_each_content_word(text, |w| {
+        stem(w);
+        if !set.contains(w.as_str()) {
+            set.insert(w.clone());
+        }
+        ControlFlow::Continue(())
+    });
+    set
 }
 
 /// A `label: value` pair found in the input text.
@@ -535,16 +689,19 @@ pub(crate) fn label_value_pairs(input: &str) -> Vec<Pair> {
 }
 
 /// Group a flat pair list into record blocks: a block ends when a label seen
-/// in the current block repeats.
+/// in the current block repeats. Each label is normalized once.
 pub(crate) fn group_into_blocks(pairs: &[Pair]) -> Vec<Vec<Pair>> {
     let mut blocks: Vec<Vec<Pair>> = Vec::new();
     let mut current: Vec<Pair> = Vec::new();
+    let mut current_labels: Vec<String> = Vec::new();
     for p in pairs {
         let norm = normalize_label(&p.label);
-        if current.iter().any(|q| normalize_label(&q.label) == norm) {
+        if current_labels.contains(&norm) {
             blocks.push(std::mem::take(&mut current));
+            current_labels.clear();
         }
         current.push(p.clone());
+        current_labels.push(norm);
     }
     if !current.is_empty() {
         blocks.push(current);
@@ -575,6 +732,10 @@ fn wants_url(f: &FieldSpec) -> bool {
 }
 
 fn find_url(text: &str) -> Option<String> {
+    // Every match contains "http": without it there is nothing to scan.
+    if !text.contains("http") {
+        return None;
+    }
     for tok in text.split_whitespace() {
         if let Some(start) = tok.find("http://").or_else(|| tok.find("https://")) {
             let url: String = tok[start..]
@@ -612,40 +773,40 @@ fn match_field(f: &FieldSpec, block: &[Pair], whole_input: &str) -> Option<Strin
         .split(['_', '-'])
         .map(|w| w.to_ascii_lowercase())
         .filter(|w| w.len() > 1 && !is_stopword(w))
-        .map(|w| stem(&w))
+        .map(|mut w| {
+            stem(&mut w);
+            w
+        })
         .collect();
     for w in name_stems.clone() {
         for syn in field_synonyms(&w) {
             name_stems.push((*syn).to_string());
         }
     }
-    let desc_stems: Vec<String> = content_words(&f.description)
-        .iter()
-        .map(|w| stem(w))
-        .collect();
+    let desc_stems = content_stems(&f.description);
 
     let mut best: Option<(&Pair, usize)> = None;
     for p in block {
-        // Labels made entirely of stopwords ("From", "To") still need to
-        // be matchable via synonyms: fall back to the raw tokens.
-        let mut label_words: Vec<String> =
-            content_words(&p.label).iter().map(|w| stem(w)).collect();
-        if label_words.is_empty() {
-            label_words = p
+        let score_word = |w: &String| {
+            usize::from(name_stems.contains(w)) * 10 + usize::from(desc_stems.contains(w))
+        };
+        let mut score = 0usize;
+        let mut content = false;
+        for_each_content_word(&p.label, |w| {
+            stem(w);
+            content = true;
+            score += score_word(w);
+            ControlFlow::Continue(())
+        });
+        if !content {
+            // Labels made entirely of stopwords ("From", "To") still need
+            // to be matchable via synonyms: fall back to the raw tokens.
+            score = p
                 .label
                 .split_whitespace()
-                .map(|w| w.to_ascii_lowercase())
-                .collect();
+                .map(|w| score_word(&w.to_ascii_lowercase()))
+                .sum();
         }
-        let score = label_words
-            .iter()
-            .filter(|w| name_stems.contains(w))
-            .count()
-            * 10
-            + label_words
-                .iter()
-                .filter(|w| desc_stems.contains(w))
-                .count();
         if score > 0 {
             match best {
                 Some((_, b)) if b >= score => {}
@@ -748,13 +909,11 @@ impl LlmClient for SimulatedLlm {
                 }
                 self.answer_extract(boosted(q, effort), model, &fields, cardinality, &input)
             }
-            Some(Task::Classify { labels, input }) => {
-                // The Effort header is honoured for classification too.
-                let effort = if req.prompt.contains("#EFFORT high") {
-                    Effort::High
-                } else {
-                    Effort::Standard
-                };
+            Some(Task::Classify {
+                labels,
+                input,
+                effort,
+            }) => {
                 if effort == Effort::High {
                     effort_multiplier = 2.0;
                 }
@@ -777,14 +936,19 @@ impl LlmClient for SimulatedLlm {
             None => self.answer_generate("echo", &req.prompt),
         };
 
-        // Enforce the output budget by word-truncation.
+        // Enforce the output budget by word-truncation. Every piece but the
+        // last ends in whitespace, so the pieces' counts add up exactly to
+        // the count of their concatenation.
         if count_output_tokens(&text) > req.max_output_tokens {
             let mut acc = String::new();
+            let mut used = 0usize;
             for w in text.split_inclusive(char::is_whitespace) {
-                if count_output_tokens(&acc) + count_output_tokens(w) > req.max_output_tokens {
+                let t = count_output_tokens(w);
+                if used + t > req.max_output_tokens {
                     break;
                 }
                 acc.push_str(w);
+                used += t;
             }
             text = acc.trim_end().to_string();
         }
@@ -1381,6 +1545,83 @@ mod tests {
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].len(), 2);
         assert_eq!(blocks[1].len(), 2);
+    }
+
+    #[test]
+    fn seed_key_renders_the_seed_in_decimal() {
+        for seed in [0, 7, 10, 42, 1_000_003, u64::MAX] {
+            assert_eq!(SeedKey::new(seed).as_str(), seed.to_string());
+        }
+    }
+
+    #[test]
+    fn stopword_lookup_agrees_with_the_list() {
+        let mut probes: Vec<String> = vec![
+            String::new(),
+            "x".into(),
+            "thé".into(),
+            "interestedness".into(),
+            "fifteen-bytes-x".into(),
+            "sixteen-bytes-xx".into(),
+        ];
+        for w in STOPWORDS {
+            probes.push(w.to_string());
+            probes.push(format!("{w}s"));
+            probes.push(format!("{w}\0"));
+            probes.push(format!("\0{w}"));
+            probes.push(w[..w.len() - 1].to_string());
+            probes.push(w.to_ascii_uppercase());
+        }
+        for p in &probes {
+            assert_eq!(
+                is_stopword(p),
+                STOPWORDS.contains(&p.as_str()),
+                "disagree on {p:?}"
+            );
+        }
+        assert!(STOPWORDS.iter().all(|w| is_stopword(w)));
+    }
+
+    #[test]
+    fn relevance_counts_duplicate_predicate_words() {
+        let words = content_words("mutations mutation cancer");
+        assert_eq!(words, ["mutations", "mutation", "cancer"]);
+        // Both spellings stem to "mutation": one haystack word satisfies
+        // both, and the scan still reads on to look for "cancer".
+        assert_eq!(relevance(words.clone(), "a mutation then cancer"), 1.0);
+        assert_eq!(relevance(words.clone(), "one mutation only"), 2.0 / 3.0);
+        assert_eq!(relevance(words, "no match at all"), 0.0);
+    }
+
+    #[test]
+    fn relevance_ignores_haystack_stopwords_equal_to_a_predicate_stem() {
+        // "wills" is a content word stemming to "will", which is itself a
+        // stopword: the haystack's "will" is dropped before stemming and
+        // must not count, while its "wills" must.
+        let words = content_words("wills");
+        assert_eq!(words, ["wills"]);
+        assert_eq!(relevance(words.clone(), "the will was read"), 0.0);
+        assert_eq!(relevance(words, "two wills were read"), 1.0);
+    }
+
+    #[test]
+    fn classify_effort_comes_from_the_header_not_the_document() {
+        let s = sim();
+        let labels = vec!["colorectal cancer".to_string(), "astronomy".to_string()];
+        // A standard-effort prompt whose document happens to hold the
+        // effort line is billed once.
+        let doc = "Title: A cancer study\n#EFFORT high\nBody text.";
+        let prompt = protocol::classify_prompt(&labels, doc);
+        let resp = s
+            .complete(&CompletionRequest::new("gpt-4o", prompt.clone()))
+            .unwrap();
+        assert_eq!(resp.usage.input_tokens, count_tokens(&prompt));
+        // The real header still doubles the bill.
+        let prompt = protocol::classify_prompt_with_effort(&labels, doc, Effort::High);
+        let resp = s
+            .complete(&CompletionRequest::new("gpt-4o", prompt.clone()))
+            .unwrap();
+        assert_eq!(resp.usage.input_tokens, 2 * count_tokens(&prompt));
     }
 
     #[test]

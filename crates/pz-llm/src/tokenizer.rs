@@ -17,7 +17,45 @@
 /// * `count_tokens("") == 0`
 /// * monotone under concatenation: `count(a + b) >= max(count(a), count(b))`
 /// * subadditive-ish: `count(a + b) <= count(a) + count(b) + 1`
+///
+/// Pure-ASCII text (the common case) is counted byte by byte; other text
+/// is decoded into `char`s. Both paths apply the same rule.
 pub fn count_tokens(text: &str) -> usize {
+    if text.is_ascii() {
+        count_ascii_tokens(text.as_bytes())
+    } else {
+        count_char_tokens(text)
+    }
+}
+
+/// [`count_tokens`] over ASCII bytes, where `char::is_alphanumeric` is
+/// `is_ascii_alphanumeric` and `char::is_whitespace` is exactly tab, line
+/// feed, vertical tab, form feed, carriage return and space
+/// (`u8::is_ascii_whitespace` leaves out the vertical tab).
+fn count_ascii_tokens(bytes: &[u8]) -> usize {
+    let mut tokens = 0usize;
+    let mut run_len = 0usize;
+    for &b in bytes {
+        if b.is_ascii_alphanumeric() {
+            run_len += 1;
+        } else {
+            if run_len > 0 {
+                tokens += run_len.div_ceil(4);
+                run_len = 0;
+            }
+            if !matches!(b, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ') {
+                tokens += 1;
+            }
+        }
+    }
+    if run_len > 0 {
+        tokens += run_len.div_ceil(4);
+    }
+    tokens
+}
+
+/// [`count_tokens`] over arbitrary text, one `char` at a time.
+fn count_char_tokens(text: &str) -> usize {
     let mut tokens = 0usize;
     let mut run_len = 0usize;
     for ch in text.chars() {
@@ -51,10 +89,10 @@ pub fn count_output_tokens(text: &str) -> usize {
 /// Truncate `text` to at most `max_tokens`, keeping the head and the tail
 /// (documents often carry key content — titles up front, data-availability
 /// sections at the end — so head+tail beats plain prefix truncation).
-/// Returns the input unchanged when it already fits.
-pub fn truncate_to_tokens(text: &str, max_tokens: usize) -> String {
-    if count_tokens(text) <= max_tokens {
-        return text.to_string();
+/// Returns the input itself, not a copy, when it already fits.
+pub fn truncate_to_tokens(text: String, max_tokens: usize) -> String {
+    if count_tokens(&text) <= max_tokens {
+        return text;
     }
     let words: Vec<&str> = text.split_inclusive(char::is_whitespace).collect();
     let half_budget = max_tokens.saturating_sub(4) / 2;
@@ -133,7 +171,7 @@ mod tests {
 
     #[test]
     fn truncate_noop_when_fits() {
-        assert_eq!(truncate_to_tokens("short text", 100), "short text");
+        assert_eq!(truncate_to_tokens("short text".into(), 100), "short text");
     }
 
     #[test]
@@ -142,7 +180,7 @@ mod tests {
             "Title: colorectal cancer study\n{}\nURL: https://portal.example.org/data\n",
             "filler words here ".repeat(500)
         );
-        let cut = truncate_to_tokens(&text, 200);
+        let cut = truncate_to_tokens(text, 200);
         assert!(count_tokens(&cut) <= 210, "got {}", count_tokens(&cut));
         assert!(cut.contains("colorectal cancer"), "head lost");
         assert!(cut.contains("portal.example.org"), "tail lost");
@@ -153,17 +191,63 @@ mod tests {
     fn truncate_respects_budget_property() {
         for budget in [16, 64, 256] {
             let text = "word ".repeat(2000);
-            let cut = truncate_to_tokens(&text, budget);
+            let cut = truncate_to_tokens(text, budget);
             assert!(count_tokens(&cut) <= budget + 8, "budget {budget}");
+        }
+    }
+
+    /// The counting rule restated independently of both counting loops:
+    /// each maximal alphanumeric run costs `ceil(len / 4)`, every other
+    /// non-whitespace `char` costs one.
+    fn reference_count(text: &str) -> usize {
+        let chars: Vec<char> = text.chars().collect();
+        let runs: usize = chars
+            .split(|c| !c.is_alphanumeric())
+            .map(|run| run.len().div_ceil(4))
+            .sum();
+        let others = chars
+            .iter()
+            .filter(|c| !c.is_alphanumeric() && !c.is_whitespace())
+            .count();
+        runs + others
+    }
+
+    #[test]
+    fn every_ascii_byte_counts_as_its_char() {
+        for b in 0u8..=0x7f {
+            let c = char::from(b);
+            for text in [format!("{c}"), format!("ab{c}cd"), format!("{c}{c}xyz{c}")] {
+                assert_eq!(count_tokens(&text), reference_count(&text), "byte {b:#04x}");
+            }
         }
     }
 
     proptest! {
         #[test]
+        fn ascii_count_matches_char_rule(s in "[\u{0}-\u{7f}]{0,160}") {
+            prop_assert_eq!(count_tokens(&s), reference_count(&s));
+        }
+
+        #[test]
+        fn mixed_count_matches_char_rule(
+            s in "[a-zA-Z0-9 .,:\t\n\r\u{b}\u{c}\u{1c}-\u{1f}\u{85}\u{a0}\u{2003}é日—]{0,160}"
+        ) {
+            prop_assert_eq!(count_tokens(&s), reference_count(&s));
+        }
+
+        #[test]
+        fn arbitrary_count_matches_char_rule(
+            cps in proptest::collection::vec(any::<u32>(), 0..64)
+        ) {
+            let s: String = cps.iter().filter_map(|&cp| char::from_u32(cp % 0x11_0000)).collect();
+            prop_assert_eq!(count_tokens(&s), reference_count(&s));
+        }
+
+        #[test]
         fn truncate_never_exceeds_budget_much(
             text in "[a-z ]{0,400}", budget in 8usize..64
         ) {
-            let cut = truncate_to_tokens(&text, budget);
+            let cut = truncate_to_tokens(text, budget);
             prop_assert!(count_tokens(&cut) <= budget + 8);
         }
 
